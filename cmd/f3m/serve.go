@@ -94,7 +94,7 @@ func runServe(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "f3m serve: listening on %s\n", ln.Addr())

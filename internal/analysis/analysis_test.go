@@ -158,6 +158,34 @@ func TestAuditCatchesDanglingCallSite(t *testing.T) {
 	}
 }
 
+// TestAuditScopeIsTheCommit seeds a dangling call in a function the
+// commit never touched: the per-commit audit does not walk it (its
+// cost is the commit's, not the module's), and the end-of-run sweep
+// reports it.
+func TestAuditScopeIsTheCommit(t *testing.T) {
+	m, info := mergeAndCommit(t, twoParamSrc)
+	if info.B.Thunked {
+		t.Fatal("expected @fb to be deleted, not thunked")
+	}
+	apply := m.Func("apply")
+	for _, c := range info.Callers {
+		if c == apply {
+			t.Fatal("@apply is a rewritten caller; test premise broken")
+		}
+	}
+	x := apply.Params[1]
+	stale := &ir.Instr{Op: ir.OpCall, Ty: m.Ctx.I32, Operands: []ir.Value{info.B.Fn, x, x}, Nam: "stale"}
+	apply.Blocks[0].InsertAt(0, stale)
+
+	if ds := analysis.AuditCommit(analysis.NewManager(), m, info); len(ds) != 0 {
+		t.Errorf("per-commit audit walked an untouched function:\n%s", ds.RenderString())
+	}
+	want := "error [merge-audit] @apply:%entry:%stale: call to @fb which is not a function in the module"
+	if got := strings.TrimSpace(analysis.DanglingRefs(m, analysis.CheckerMergeAudit).RenderString()); got != want {
+		t.Errorf("sweep got %q, want %q", got, want)
+	}
+}
+
 func TestAuditCatchesDiscriminatorLeak(t *testing.T) {
 	m, info := mergeAndCommit(t, twoParamSrc)
 	g := info.Merged
@@ -214,7 +242,7 @@ func TestAuditInvalidationTargetsRewrittenCallers(t *testing.T) {
 
 	// @apply only calls through a pointer, so the commit never touched
 	// it: its facts must survive by pointer identity (the regression
-	// this guards was wholesale InvalidateModule on every commit).
+	// this guards was dropping every cached fact on every commit).
 	if mgr.Facts(apply) != keptApply {
 		t.Error("facts for an untouched function were dropped by a targeted invalidation")
 	}
@@ -243,7 +271,7 @@ entry:
   ret i32 %r
 }`)
 	m.RemoveFunc(m.Func("callee"))
-	ds := analysis.StrictVerify(analysis.NewManager(), m)
+	ds := analysis.StrictVerify(m)
 	want := "error [strict-verify] @caller:%entry:%r: call to @callee which is not a function in the module"
 	if got := strings.TrimSpace(ds.RenderString()); got != want {
 		t.Errorf("got %q, want %q", got, want)
@@ -258,7 +286,7 @@ entry:
 }`)
 	dup := &ir.Function{Nam: "f", Sig: m.Func("f").Sig, Parent: m}
 	m.Funcs = append(m.Funcs, dup)
-	ds := analysis.StrictVerify(analysis.NewManager(), m)
+	ds := analysis.StrictVerify(m)
 	if !strings.Contains(ds.RenderString(), "defined 2 times") {
 		t.Errorf("duplicate name not caught; got:\n%s", ds.RenderString())
 	}

@@ -22,13 +22,18 @@ const CheckerMergeAudit = "merge-audit"
 //   - a thunked original keeps its name and signature and forwards
 //     exactly its own parameters (per the recorded parameter map, undef
 //     for unshared slots) plus the correct discriminator constant;
-//   - a deleted original is gone from the module and nothing —
-//     no call site, no address-taken operand — still references it;
-//   - every remaining direct call of the merged function passes the
-//     full merged parameter list, discriminator first.
+//   - a deleted original is gone from the module, and the commit's
+//     call-site index (CommitInfo.Index, when set) holds no call site
+//     or address-taken use of it;
+//   - no function the commit rewrote references a function that is no
+//     longer in the module, and every direct call of the merged
+//     function there passes the full merged parameter list,
+//     discriminator first.
 //
-// The module-wide reference scan is one linear walk; it also catches
-// dangling references to functions deleted by earlier commits.
+// The cost is proportional to the commit, not the module: only the
+// functions the commit touched are walked (the merged function, the
+// thunks and CommitInfo.Callers). A stale reference anywhere else is
+// left to the end-of-run sweep (DanglingRefs).
 func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics {
 	// A commit touches a known set of functions: the merged one is new,
 	// the originals were thunked or deleted, and CommitInfo.Callers had
@@ -65,37 +70,92 @@ func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics
 		ds = append(ds, auditDiscriminator(g)...)
 	}
 
-	ds = append(ds, auditSide(m, g, info.A, true)...)
-	ds = append(ds, auditSide(m, g, info.B, false)...)
+	ds = append(ds, auditSide(m, g, info.A, info.Index, true)...)
+	ds = append(ds, auditSide(m, g, info.B, info.Index, false)...)
 
-	// One walk over the module: dangling function references (the
-	// deleted originals, or leftovers of earlier commits) and the shape
-	// of every call site that targets the merged function.
-	cg := mgr.CallGraphOf(m)
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for i, op := range in.Operands {
-					callee, ok := op.(*ir.Function)
-					if !ok {
-						continue
-					}
-					isCallee := (in.Op == ir.OpCall || in.Op == ir.OpInvoke) && i == 0
-					if !cg.Present[callee] {
-						kind := "reference to"
-						if isCallee {
-							kind = "call site still targets"
-						}
-						errf(f.Name(), b.Name(), instrLabel(in),
-							"%s deleted function @%s", kind, callee.Name())
-						continue
-					}
-					if isCallee && callee == g {
-						ds = append(ds, auditMergedCall(f, b, in, g)...)
-					}
+	for _, f := range touchedFuncs(m, info) {
+		funcRefs(f, func(b *ir.Block, in *ir.Instr, callee *ir.Function, isCallee bool) {
+			if m.Func(callee.Name()) != callee {
+				kind := "reference to"
+				if isCallee {
+					kind = "call site still targets"
+				}
+				errf(f.Name(), b.Name(), instrLabel(in),
+					"%s deleted function @%s", kind, callee.Name())
+				return
+			}
+			if isCallee && callee == g {
+				ds = append(ds, auditMergedCall(f, b, in, g)...)
+			}
+		})
+	}
+	return ds
+}
+
+// touchedFuncs lists, without duplicates, the functions a commit
+// rewrote that are still live in the module: the merged function, the
+// thunked originals and the callers whose call sites were redirected.
+func touchedFuncs(m *ir.Module, info *merge.CommitInfo) []*ir.Function {
+	cands := []*ir.Function{info.Merged}
+	for _, side := range []merge.CommitSide{info.A, info.B} {
+		if side.Thunked {
+			cands = append(cands, side.Fn)
+		}
+	}
+	cands = append(cands, info.Callers...)
+	seen := make(map[*ir.Function]bool, len(cands))
+	out := cands[:0]
+	for _, f := range cands {
+		if seen[f] || m.Func(f.Name()) != f {
+			continue
+		}
+		seen[f] = true
+		out = append(out, f)
+	}
+	return out
+}
+
+// funcRefs calls visit for every function-valued operand in f's body;
+// isCallee marks the callee slot of a call or invoke. It is the one
+// walker behind both the per-commit audit and DanglingRefs.
+func funcRefs(f *ir.Function, visit func(b *ir.Block, in *ir.Instr, callee *ir.Function, isCallee bool)) {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for i, op := range in.Operands {
+				if callee, ok := op.(*ir.Function); ok {
+					visit(b, in, callee, (in.Op == ir.OpCall || in.Op == ir.OpInvoke) && i == 0)
 				}
 			}
 		}
+	}
+}
+
+// DanglingRefs sweeps the whole module once for references to
+// functions that are not, or are no longer, part of it, reporting each
+// under checker. The pipeline runs it at the end of every checked run,
+// behind the per-commit audit, which only looks at what each commit
+// touched.
+func DanglingRefs(m *ir.Module, checker string) Diagnostics {
+	present := make(map[*ir.Function]bool, len(m.Funcs))
+	for _, f := range m.Funcs {
+		present[f] = true
+	}
+	var ds Diagnostics
+	for _, f := range m.Funcs {
+		funcRefs(f, func(b *ir.Block, in *ir.Instr, callee *ir.Function, isCallee bool) {
+			if present[callee] {
+				return
+			}
+			kind := "reference to"
+			if isCallee {
+				kind = "call to"
+			}
+			ds = append(ds, Diagnostic{
+				Checker: checker, Sev: Error,
+				Func: f.Name(), Block: b.Name(), Instr: instrLabel(in),
+				Msg: fmt.Sprintf("%s @%s which is not a function in the module", kind, callee.Name()),
+			})
+		})
 	}
 	return ds
 }
@@ -129,7 +189,8 @@ func auditDiscriminator(g *ir.Function) Diagnostics {
 }
 
 // auditSide validates the post-commit state of one replaced original.
-func auditSide(m *ir.Module, g *ir.Function, side merge.CommitSide, idA bool) Diagnostics {
+// ix, when non-nil, is the commit's call-site index.
+func auditSide(m *ir.Module, g *ir.Function, side merge.CommitSide, ix *merge.CallIndex, idA bool) Diagnostics {
 	var ds Diagnostics
 	errf := func(blk, instr, format string, args ...any) {
 		ds = append(ds, Diagnostic{
@@ -142,6 +203,14 @@ func auditSide(m *ir.Module, g *ir.Function, side merge.CommitSide, idA bool) Di
 	if !side.Thunked {
 		if m.Func(side.Name) == side.Fn {
 			errf("", "", "deleted original is still in the module")
+		}
+		if ix != nil {
+			if n := ix.NumCallSites(side.Fn); n > 0 {
+				errf("", "", "deleted original still has %d indexed call sites", n)
+			}
+			if ix.HasNonCallUses(side.Fn) {
+				errf("", "", "deleted original still has indexed address-taken uses")
+			}
 		}
 		return ds
 	}

@@ -55,7 +55,16 @@ func (e *Engine) Manager() *Manager { return e.mgr }
 
 // StrictModule runs the strict verifier over the whole module.
 func (e *Engine) StrictModule(m *ir.Module) Diagnostics {
-	return e.record(CheckerStrictVerify, StrictVerify(e.mgr, m))
+	return e.record(CheckerStrictVerify, StrictVerify(m))
+}
+
+// SweepModule runs the whole-module dangling-reference sweep on its
+// own, reported as merge-audit findings. The CheckFast tier calls it
+// once at the end of the run to back the per-commit audit, which only
+// walks what each commit touched; stricter tiers get the same sweep
+// from StrictModule.
+func (e *Engine) SweepModule(m *ir.Module) Diagnostics {
+	return e.record(CheckerMergeAudit, DanglingRefs(m, CheckerMergeAudit))
 }
 
 // AuditCommit audits one committed merge and remembers the merged

@@ -14,13 +14,11 @@ const CheckerStrictVerify = "strict-verify"
 // definition is checked against the full ir.FuncIssues rule set
 // (operand arity and types including the GEP/alloca/cast rules, phi
 // edges, terminators, SSA dominance) and the module is checked for
-// duplicate symbols and references to functions that are not — or are
-// no longer — part of it. All findings are errors: each one is IR that
-// could miscompile silently.
-func StrictVerify(mgr *Manager, m *ir.Module) Diagnostics {
+// duplicate symbols and, through DanglingRefs, references to functions
+// that are not — or are no longer — part of it. All findings are
+// errors: each one is IR that could miscompile silently.
+func StrictVerify(m *ir.Module) Diagnostics {
 	var ds Diagnostics
-	cg := mgr.CallGraphOf(m)
-
 	seen := make(map[string]int, len(m.Funcs))
 	for _, f := range m.Funcs {
 		seen[f.Name()]++
@@ -51,27 +49,8 @@ func StrictVerify(mgr *Manager, m *ir.Module) Diagnostics {
 				Msg: issue.Error(),
 			})
 		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for i, op := range in.Operands {
-					callee, ok := op.(*ir.Function)
-					if !ok || cg.Present[callee] {
-						continue
-					}
-					kind := "reference to"
-					if (in.Op == ir.OpCall || in.Op == ir.OpInvoke) && i == 0 {
-						kind = "call to"
-					}
-					ds = append(ds, Diagnostic{
-						Checker: CheckerStrictVerify, Sev: Error,
-						Func: f.Name(), Block: b.Name(), Instr: instrLabel(in),
-						Msg: fmt.Sprintf("%s @%s which is not a function in the module", kind, callee.Name()),
-					})
-				}
-			}
-		}
 	}
-	return ds
+	return append(ds, DanglingRefs(m, CheckerStrictVerify)...)
 }
 
 // instrLabel identifies an instruction in a diagnostic: its result name

@@ -18,14 +18,18 @@ const (
 
 	// CheckFast audits every committed merge as it lands: thunk
 	// signatures and argument forwarding, discriminator channeling,
-	// call-site rewrites and dangling references. Cost is proportional
-	// to merges, not module size.
+	// call-site rewrites and dangling references. Each audit walks only
+	// the functions its commit touched, so the per-commit cost is
+	// proportional to the commit, not the module; one whole-module
+	// dangling-reference sweep at the end of the run catches anything
+	// outside that set.
 	CheckFast
 
 	// CheckStrict is CheckFast plus full-module analysis before and
 	// after the pipeline (strict IR verification, module symbol and
-	// reference checks) and a lint sweep over the surviving merged
-	// functions.
+	// reference checks; the closing verification doubles as the
+	// dangling-reference sweep) and a lint sweep over the surviving
+	// merged functions.
 	CheckStrict
 
 	// CheckValidate is CheckStrict plus per-commit translation
@@ -85,10 +89,12 @@ func startChecks(m *ir.Module, cfg Config) *analysis.Engine {
 	return eng
 }
 
-// finishChecks runs the post-pipeline analyses (strict mode only: the
-// lint sweep over surviving merged functions, then full re-verification
-// of the mutated module) and publishes the accumulated diagnostics on
-// the report.
+// finishChecks runs the post-pipeline analyses and publishes the
+// accumulated diagnostics on the report. Every checked run ends with
+// one whole-module dangling-reference sweep: under CheckFast on its
+// own, under CheckStrict as part of the full re-verification of the
+// mutated module, which follows the lint sweep over surviving merged
+// functions.
 func finishChecks(m *ir.Module, cfg Config, eng *analysis.Engine, rep *Report) {
 	if eng == nil {
 		return
@@ -96,6 +102,8 @@ func finishChecks(m *ir.Module, cfg Config, eng *analysis.Engine, rep *Report) {
 	if cfg.Check >= CheckStrict {
 		eng.LintMerged(m)
 		eng.StrictModule(m)
+	} else {
+		eng.SweepModule(m)
 	}
 	rep.Diagnostics = eng.All
 }

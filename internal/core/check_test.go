@@ -310,3 +310,57 @@ func TestAuditHookRunsPerCommit(t *testing.T) {
 		t.Errorf("auditor missed the seeded discriminator leak; got:\n%s", rep.Diagnostics.RenderString())
 	}
 }
+
+// TestFastCheckSweepsUntouchedFunctions seeds, just before a commit, a
+// call to the original the commit is about to delete, in a function
+// the call index does not know about. The per-commit audit never walks
+// that function; the end-of-run sweep must still report the call.
+func TestFastCheckSweepsUntouchedFunctions(t *testing.T) {
+	gcfg := irgen.DefaultConfig(23)
+	m := irgen.Generate(gcfg).Module
+
+	orig := mergePair
+	defer func() { mergePair = orig }()
+	var victim string
+	mergePair = func(mod *ir.Module, fa, fb *ir.Function, opts merge.Options) (*merge.Result, error) {
+		res, err := orig(mod, fa, fb, opts)
+		if err == nil && victim == "" && res.Profitable && !opts.Index.HasNonCallUses(fa) {
+			ctx := mod.Ctx
+			probe := mod.NewFunc("audit.probe", ctx.Func(ctx.Void))
+			bd := ir.NewBuilder(probe.NewBlock("entry"))
+			args := make([]ir.Value, len(fa.Params))
+			for i, p := range fa.Params {
+				args[i] = ir.ConstUndef(p.Ty)
+			}
+			bd.Call(fa, args...)
+			bd.Ret(nil)
+			victim = fa.Name()
+		}
+		return res, err
+	}
+
+	cfg := DefaultConfig(F3MStatic)
+	cfg.Check = CheckFast
+	rep, err := Run(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if victim == "" {
+		t.Fatal("seeding never triggered; no profitable merge of a deletable original")
+	}
+	want := "call to @" + victim + " which is not a function in the module"
+	found := false
+	for _, d := range rep.Diagnostics {
+		if d.Func != "audit.probe" {
+			continue
+		}
+		if d.Checker != analysis.CheckerMergeAudit || d.Msg != want {
+			t.Errorf("unexpected diagnostic on the probe: %s", d)
+			continue
+		}
+		found = true
+	}
+	if !found {
+		t.Errorf("end-of-run sweep missed the seeded call to @%s; got:\n%s", victim, rep.Diagnostics.RenderString())
+	}
+}

@@ -259,6 +259,12 @@ type CommitInfo struct {
 	// functions that contained at least one rewritten call site. Their
 	// bodies changed, so any cached analysis facts about them are stale.
 	Callers []*ir.Function
+
+	// Index is the call-site index Commit kept current (Options.Index),
+	// or nil when the merge ran without one. The auditor asks it
+	// whether a deleted original is still referenced anywhere, which
+	// spares a walk over the whole module per commit.
+	Index *CallIndex
 }
 
 // CommitSide is the commit outcome for one replaced original.
@@ -303,7 +309,7 @@ func Commit(m *ir.Module, r *Result) *CommitInfo {
 	if r.idx != nil {
 		r.idx.AddFunction(g)
 	}
-	info := &CommitInfo{Merged: g}
+	info := &CommitInfo{Merged: g, Index: r.idx}
 	var snapA, snapB *ir.Function
 	if r.snapshot {
 		// Clone before any rewriting: the snapshots must capture the

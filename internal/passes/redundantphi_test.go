@@ -126,3 +126,64 @@ join:
 		t.Errorf("constant not propagated to the use:\n%s", ir.FuncString(f))
 	}
 }
+
+func TestElimRedundantPhisTwoPhiCycle(t *testing.T) {
+	// %p only selects %q, and %q takes %p around the loop. Replacing %p
+	// by %q must rewrite %q's own operand too, or %q keeps a reference
+	// to the deleted %p.
+	src := `
+define i32 @f(i32 %x, i1 %c) {
+entry:
+  br label %h
+h:
+  %q = phi i32 [%x, %entry], [%p, %join]
+  br i1 %c, label %a, label %b
+a:
+  br label %join
+b:
+  br label %join
+join:
+  %p = phi i32 [%q, %a], [%q, %b]
+  %d = icmp slt i32 %q, 10
+  br i1 %d, label %h, label %exit
+exit:
+  ret i32 %q
+}`
+	m := mustParse(t, src)
+	f := m.Func("f")
+	ElimRedundantPhis(f)
+	if err := ir.VerifyFunc(f); err != nil {
+		t.Fatalf("invalid after elimination: %v\n%s", err, ir.FuncString(f))
+	}
+	if out := ir.FuncString(f); strings.Contains(out, "phi") {
+		t.Errorf("cycle of redundant phis survived:\n%s", out)
+	}
+}
+
+func TestMergeStraightLineSinglePredPhiInCycle(t *testing.T) {
+	// %l has the single predecessor %m, so merging it turns %p into a
+	// copy of %q; %q in turn reads %p along the back edge.
+	src := `
+define i32 @f(i32 %x, i1 %c) {
+entry:
+  br label %h
+h:
+  %q = phi i32 [%x, %entry], [%p, %l]
+  br i1 %c, label %m, label %exit
+m:
+  br label %l
+l:
+  %p = phi i32 [%q, %m]
+  br label %h
+exit:
+  ret i32 %q
+}`
+	m := mustParse(t, src)
+	f := m.Func("f")
+	if n := mergeStraightLine(f); n != 1 {
+		t.Fatalf("merged %d blocks, want 1", n)
+	}
+	if err := ir.VerifyFunc(f); err != nil {
+		t.Fatalf("invalid after merging: %v\n%s", err, ir.FuncString(f))
+	}
+}

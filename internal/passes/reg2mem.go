@@ -180,9 +180,15 @@ func insertStoreForEdge(pred *ir.Block, v ir.Value, st *ir.Instr) {
 }
 
 // replaceAllUses substitutes new for old in every instruction of f.
+// A non-phi replacement keeps its own operands (rewriting them would
+// make it use itself). A phi replacement is rewritten too: when a
+// redundant phi is replaced by a phi on the same cycle, skipping it
+// would leave an operand pointing at the deleted phi. The self-edge
+// this creates instead is legal SSA, and ElimRedundantPhis drops it
+// once the phi has no other distinct input.
 func replaceAllUses(f *ir.Function, old, new ir.Value) {
 	f.Instructions(func(in *ir.Instr) {
-		if in == new {
+		if in == new && in.Op != ir.OpPhi {
 			return
 		}
 		in.ReplaceUsesOfWith(old, new)

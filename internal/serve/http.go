@@ -11,6 +11,11 @@ import (
 	"f3m/internal/analysis/summary"
 )
 
+// ReadHeaderTimeout bounds how long an http.Server serving Handler
+// waits for a client's request headers, so a connection that never
+// finishes sending them cannot hold a goroutine and a socket forever.
+const ReadHeaderTimeout = 10 * time.Second
+
 // Route describes one API endpoint: the smoke gate drives every route
 // and the docs-drift check asserts SERVING.md documents each one.
 type Route struct {

@@ -51,7 +51,7 @@ func SelfCheck(w io.Writer, servingDoc string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	go func() { _ = hs.Serve(ln) }()
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

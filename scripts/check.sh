@@ -44,6 +44,16 @@ go run ./cmd/f3m -check=validate testdata/handlers.c >/dev/null
 go run ./cmd/f3m -check=validate -strategy hyfm testdata/handlers.c >/dev/null
 go run ./cmd/f3m -check=validate -gen 200 -seed 5 >/dev/null
 
+echo "== f3m -check=validate at 4000 functions"
+# The validator at scale: synthetic corpora large enough to contain the
+# phi cycles small inputs never produce. Per-commit checking costs the
+# commit, not the module, so each run takes seconds. Every commit must
+# be proven, with zero diagnostics of any kind.
+for seed in 2 3 4 5 6 7; do
+    go run ./cmd/f3m -gen 4000 -seed "$seed" -check=validate | grep -q ", 0 diagnostics (0 errors)"
+done
+go run ./cmd/f3m -gen 4000 -seed 3 -strategy f3m-cfg -check=validate | grep -q ", 0 diagnostics (0 errors)"
+
 echo "== f3m summary/merge cross-module gate"
 # The cross-module gate: summarize the two checked-in corpus modules,
 # merge them optimistically from the summaries under the translation
