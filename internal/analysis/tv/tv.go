@@ -15,9 +15,8 @@
 // `tv` error diagnostic locating the first mismatching instruction.
 //
 // Everything runs on the committer goroutine against detached scratch
-// modules, so speculative pipeline workers never observe validation
-// state; only type-context interning is shared, and the pipeline
-// pre-warms the types validation needs.
+// modules; only the type context is shared with the module being
+// merged.
 package tv
 
 import (

@@ -13,10 +13,9 @@
 // An Index is single-writer: Insert and Remove must not run
 // concurrently with anything else, while PeekCandidates is read-only
 // and safe for any number of concurrent callers between mutations.
-// Both in-process consumers build on that split — the speculative
-// merge stage's read-only speculators (internal/core), and the serving
-// layer's sharded similarity store, which places one Index behind each
-// shard's RWMutex (internal/serve).
+// The serving layer's sharded similarity store builds on that split:
+// it places one Index behind each shard's RWMutex and answers queries
+// through PeekCandidates under the read lock (internal/serve).
 package lsh
 
 import (
@@ -93,7 +92,7 @@ type Index struct {
 	gen   uint32
 
 	// hashScratch is the reusable band-hash buffer of the sequential
-	// entry points (Insert, Query, Best, BestWhereN). PeekCandidates is
+	// entry points (Insert, Remove, BestWhereN). PeekCandidates is
 	// documented safe to run concurrently with itself, so it must not
 	// touch this and hashes into a per-call buffer instead.
 	hashScratch []uint32
@@ -376,8 +375,6 @@ func (ix *Index) Query(id int, mh fingerprint.MinHash, minSim float64) []Candida
 	cap_ := ix.params.bucketCap()
 	ix.beginQuery(id)
 	var out []Candidate
-	// Per-call buffer: PeekCandidates runs concurrently with itself and
-	// with sequential queries, so the index scratch is off-limits.
 	for band, h := range ix.bandHashesInto(mh, nil) {
 		lst := ix.buckets[band][h]
 		checked := 0
@@ -409,26 +406,26 @@ func (ix *Index) Query(id int, mh fingerprint.MinHash, minSim float64) []Candida
 	return out
 }
 
-// PeekCandidates is a read-only variant of Query for speculative
-// lookups: it returns up to k accepted candidates (best first, k <= 0
+// PeekCandidates is a read-only variant of Query for concurrent
+// readers: it returns up to k accepted candidates (best first, k <= 0
 // meaning unlimited) without touching the index's stats counters or
 // the per-query dedup stamps — deduplication uses a local set instead.
 // Because it mutates nothing, any number of PeekCandidates calls may
-// run concurrently with each other and with the (externally
-// serialized) authoritative Query/BestWhereN calls, which write only
-// the stats and stamp state that Peek never reads. Callers must still
-// prevent concurrent Insert/Remove/BatchInsert — the pipeline holds
-// its commit lock across those.
+// run concurrently with each other and with (externally serialized)
+// Query/BestWhereN calls, which write only the stats and stamp state
+// that Peek never reads. Callers must still prevent concurrent
+// Insert/Remove/BatchInsert; the serving store holds its shard write
+// lock across those.
 //
 // The candidate set matches what Query would see at the same index
-// state; only the accounting differs, which is exactly why speculation
-// uses this entry point (the authoritative counters must reflect the
-// sequential schedule alone).
-func (ix *Index) PeekCandidates(id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool, k int) []Candidate {
+// state. Instead of moving the shared counters, Peek returns its own
+// accounting: compared is the number of Jaccard comparisons it ran
+// (the candidates that passed dedup, the bucket cap and accept), which
+// the serving store sums into its reported LSH statistics.
+func (ix *Index) PeekCandidates(id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool, k int) (out []Candidate, compared int64) {
 	cap_ := ix.params.bucketCap()
 	seen := make(map[int32]struct{}, 64)
 	seen[int32(id)] = struct{}{}
-	var out []Candidate
 	// Per-call buffer: PeekCandidates runs concurrently with itself and
 	// with sequential queries, so the index scratch is off-limits.
 	for band, h := range ix.bandHashesInto(mh, nil) {
@@ -446,6 +443,7 @@ func (ix *Index) PeekCandidates(id int, mh fingerprint.MinHash, minSim float64, 
 			if accept != nil && !accept(int(cand)) {
 				continue
 			}
+			compared++
 			s := mh.Jaccard(ix.sig(cand))
 			if s >= minSim {
 				out = append(out, Candidate{ID: int(cand), Similarity: s})
@@ -461,7 +459,7 @@ func (ix *Index) PeekCandidates(id int, mh fingerprint.MinHash, minSim float64, 
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
-	return out
+	return out, compared
 }
 
 // Best returns the single most similar candidate, or ok=false when no

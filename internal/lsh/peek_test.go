@@ -25,15 +25,20 @@ func peekFixture(seed int64, n int) (*Index, []fingerprint.MinHash) {
 	return ix, sigs
 }
 
-// TestPeekCandidatesMatchesQuery: the read-only speculative lookup must
-// see exactly the candidate set Query sees at the same index state —
-// the whole determinism argument rests on Peek being pure accounting
-// savings, not a different ranking.
+// TestPeekCandidatesMatchesQuery: the read-only lookup must see
+// exactly the candidate set Query sees at the same index state, and
+// with no accept filter report the same comparison count Query adds to
+// the index statistics — Peek differs only in where the accounting
+// goes, not in the ranking.
 func TestPeekCandidatesMatchesQuery(t *testing.T) {
 	ix, sigs := peekFixture(3, 60)
 	for id := range sigs {
-		peeked := ix.PeekCandidates(id, sigs[id], 0.05, nil, 0)
+		peeked, compared := ix.PeekCandidates(id, sigs[id], 0.05, nil, 0)
+		before := ix.Stats().Comparisons
 		queried := ix.Query(id, sigs[id], 0.05)
+		if want := ix.Stats().Comparisons - before; compared != want {
+			t.Fatalf("id %d: peek compared %d, query counted %d", id, compared, want)
+		}
 		if len(peeked) != len(queried) {
 			t.Fatalf("id %d: peek found %d candidates, query %d", id, len(peeked), len(queried))
 		}
@@ -60,16 +65,16 @@ func TestPeekCandidatesLeavesStatsAlone(t *testing.T) {
 
 // TestPeekCandidatesFilterAndTruncate: the accept filter excludes
 // candidates before scoring and k truncates after the deterministic
-// sort, mirroring how the speculation engine consumes it.
+// sort, mirroring how the serving store consumes it.
 func TestPeekCandidatesFilterAndTruncate(t *testing.T) {
 	ix, sigs := peekFixture(5, 40)
 	for id := range sigs {
-		all := ix.PeekCandidates(id, sigs[id], 0.0, nil, 0)
+		all, _ := ix.PeekCandidates(id, sigs[id], 0.0, nil, 0)
 		if len(all) < 2 {
 			continue
 		}
 		banned := all[0].ID
-		filtered := ix.PeekCandidates(id, sigs[id], 0.0, func(c int) bool { return c != banned }, 0)
+		filtered, _ := ix.PeekCandidates(id, sigs[id], 0.0, func(c int) bool { return c != banned }, 0)
 		for _, c := range filtered {
 			if c.ID == banned {
 				t.Fatalf("id %d: rejected candidate %d still returned", id, banned)
@@ -78,7 +83,7 @@ func TestPeekCandidatesFilterAndTruncate(t *testing.T) {
 		if len(filtered) != len(all)-1 {
 			t.Fatalf("id %d: filter removed %d candidates, want 1", id, len(all)-len(filtered))
 		}
-		if topk := ix.PeekCandidates(id, sigs[id], 0.0, nil, 2); len(topk) != 2 || topk[0] != all[0] || topk[1] != all[1] {
+		if topk, _ := ix.PeekCandidates(id, sigs[id], 0.0, nil, 2); len(topk) != 2 || topk[0] != all[0] || topk[1] != all[1] {
 			t.Fatalf("id %d: top-2 peek %+v does not prefix full ranking", id, topk)
 		}
 		return

@@ -97,11 +97,14 @@ type StoreStats struct {
 // into it, keyed by shard-local id. Writers (insert, remove) hold mu
 // exclusively; readers query through lsh.PeekCandidates, which is
 // documented safe for any number of concurrent calls as long as no
-// mutation runs — exactly what the RLock guarantees.
+// mutation runs — exactly what the RLock guarantees. Peek leaves the
+// index's counters alone, so readers add the comparisons it reports
+// to the shard's own atomic counter instead.
 type shard struct {
-	mu   sync.RWMutex
-	ix   *lsh.Index
-	recs map[int64]*FuncRecord
+	mu          sync.RWMutex
+	ix          *lsh.Index
+	recs        map[int64]*FuncRecord
+	comparisons atomic.Int64
 }
 
 // Store is the sharded, concurrently readable similarity store: the
@@ -206,7 +209,8 @@ func (s *Store) Query(sig fingerprint.MinHash, minSim float64, k int, excludeID 
 			return rec != nil && rec.ID != excludeID
 		}
 		// Per-shard k: the global cut happens after the sort below.
-		cands := sh.ix.PeekCandidates(-1, sig, minSim, accept, k)
+		cands, compared := sh.ix.PeekCandidates(-1, sig, minSim, accept, k)
+		sh.comparisons.Add(compared)
 		for _, c := range cands {
 			rec := sh.recs[int64(c.ID)]
 			if rec == nil {
@@ -254,7 +258,7 @@ func (s *Store) Stats() StoreStats {
 		if ls.MaxBucketLoad > st.LSH.MaxBucketLoad {
 			st.LSH.MaxBucketLoad = ls.MaxBucketLoad
 		}
-		st.LSH.Comparisons += ls.Comparisons
+		st.LSH.Comparisons += sh.comparisons.Load()
 		st.LSH.CapSkips += ls.CapSkips
 		st.LSH.CandidatesFound += ls.CandidatesFound
 	}

@@ -26,6 +26,29 @@ func testSigs(t *testing.T, cfg StoreConfig, n int) []fingerprint.MinHash {
 	return sigs
 }
 
+// TestStoreStatsCountQueryComparisons: queries go through the index's
+// read-only peek, which leaves the index counters alone, so the store
+// must account the Jaccard comparisons itself — every returned match
+// needed one.
+func TestStoreStatsCountQueryComparisons(t *testing.T) {
+	cfg := StoreConfig{Shards: 4}
+	st := NewStore(cfg)
+	sigs := testSigs(t, cfg, 2)
+	st.Insert("m1", "f_a", sigs[0])
+	st.Insert("m2", "f_b", sigs[0])
+	st.Insert("m2", "f_c", sigs[1])
+	if c := st.Stats().LSH.Comparisons; c != 0 {
+		t.Fatalf("comparisons before any query = %d, want 0", c)
+	}
+	got := st.Query(sigs[0], 0.99, 10, -1)
+	if len(got) != 2 {
+		t.Fatalf("query: got %+v, want both copies of sig0", got)
+	}
+	if c := st.Stats().LSH.Comparisons; c < int64(len(got)) {
+		t.Errorf("comparisons after a query returning %d matches = %d, want >= %d", len(got), c, len(got))
+	}
+}
+
 func TestStoreInsertQueryRemove(t *testing.T) {
 	cfg := StoreConfig{Shards: 4}
 	st := NewStore(cfg)
